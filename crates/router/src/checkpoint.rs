@@ -25,7 +25,7 @@
 //! A checkpoint file is a JSON envelope:
 //!
 //! ```json
-//! {"magic":"syndog-checkpoint","version":3,"crc32":3735928559,"payload":"{…}"}
+//! {"magic":"syndog-checkpoint","version":4,"crc32":3735928559,"payload":"{…}"}
 //! ```
 //!
 //! The `payload` string is the serialized [`Checkpoint`]; `crc32` is the
@@ -78,16 +78,58 @@ pub const MIN_CHECKPOINT_VERSION: u32 = 2;
 /// The envelope magic string.
 const MAGIC: &str = "syndog-checkpoint";
 
-/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the same checksum
-/// pcap tooling and zlib use, implemented bitwise to stay dependency-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slice-by-8 lookup tables for [`crc32`], built at compile time.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k]`
+/// advances a byte's contribution past `k` further zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
+}
+
+/// IEEE CRC-32 (reflected, polynomial `0xEDB88320`) — the same checksum
+/// pcap tooling and zlib use, table-driven eight bytes at a time to stay
+/// dependency-free.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc: u32 = 0xFFFF_FFFF;
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = crc ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -358,15 +400,23 @@ impl Checkpoint {
     /// for states produced by the detector itself (`y_n` and `K̄` are
     /// finite by construction).
     pub fn to_json(&self) -> String {
+        use std::fmt::Write as _;
         let payload = serde_json::to_string(self)
             .expect("checkpoint state is finite-valued and serializable");
-        let envelope = Envelope {
-            magic: MAGIC.to_string(),
-            version: CHECKPOINT_VERSION,
-            crc32: crc32(payload.as_bytes()),
-            payload,
-        };
-        serde_json::to_string(&envelope).expect("envelope is serializable")
+        // The envelope's fields are fixed, so it is rendered directly —
+        // byte for byte what serializing an `Envelope` writes — rather
+        // than cloning the payload into a value tree. The slack covers
+        // the envelope fields and the payload's escaped quotes.
+        let mut out = String::with_capacity(payload.len() + payload.len() / 4 + 96);
+        write!(
+            out,
+            r#"{{"magic":"{MAGIC}","version":{CHECKPOINT_VERSION},"crc32":{},"payload":"#,
+            crc32(payload.as_bytes())
+        )
+        .expect("write to String");
+        serde_json::push_str_literal(&mut out, &payload);
+        out.push('}');
+        out
     }
 
     /// Parses and validates a JSON envelope (magic, then version, then
@@ -486,11 +536,47 @@ mod tests {
         engine
     }
 
+    /// The bitwise CRC-32 the table-driven [`crc32`] replaced, kept as
+    /// its oracle.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &byte in bytes {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The standard CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_matches_the_bitwise_oracle_on_short_buffers(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..65),
+        ) {
+            // Every prefix, so each case covers lengths 0 through its own.
+            for len in 0..=bytes.len() {
+                proptest::prop_assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]));
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_oracle_on_a_long_buffer() {
+        let mut rng = proptest::prelude::TestRng::for_test("crc32_long_buffer");
+        let long: Vec<u8> = (0..100_003).map(|_| rng.next_u64() as u8).collect();
+        // Every alignment of the eight-byte main loop against its tail.
+        for skip in 0..8 {
+            assert_eq!(crc32(&long[skip..]), crc32_bitwise(&long[skip..]));
+        }
     }
 
     #[test]
@@ -740,6 +826,94 @@ mod tests {
             assert_eq!(engine.process(&record), restored.process(&record));
         }
         assert_eq!(engine, restored);
+    }
+
+    /// A fingerprint-keyed agent driven through a calm baseline into a
+    /// rotating-source flood, checkpointed mid-throttle: detections,
+    /// alarms, lifetime and per-period fingerprint tables, and an
+    /// engaged bucket with a fractional fill level.
+    fn mid_attack_fingerprint_checkpoint() -> Checkpoint {
+        use crate::mitigate::{KeyMode, MitigationPolicy, ThrottleKey};
+        use crate::SynDogAgent;
+        use syndog_net::MacAddr;
+        use syndog_traffic::trace::TraceRecord;
+
+        let tool = syndog_fingerprint::FingerprintKey::new(255, 512, 0, 0, 0).to_bits();
+        let browser = syndog_fingerprint::FingerprintKey::new(64, 64240, 1460, 7, 0x1f).to_bits();
+        let record = |us: u64, dir, kind, src: String, dst: String| {
+            TraceRecord::new(
+                SimTime::from_micros(us),
+                dir,
+                kind,
+                src.parse().unwrap(),
+                dst.parse().unwrap(),
+            )
+        };
+        let mut agent = SynDogAgent::new(
+            "10.1.0.0/16".parse().unwrap(),
+            SynDogConfig::paper_default(),
+        );
+        agent.set_mitigation(MitigationPolicy::paper_default().with_key_mode(KeyMode::Fingerprint));
+        let period_us = 20_000_000;
+        for period in 0..14u64 {
+            let base = period * period_us;
+            for i in 0..60u64 {
+                let at = base + i * 300_000 + 7;
+                let host = format!("10.1.{}.{}:{}", i % 5, 10 + i % 7, 20_000 + i);
+                let server = format!("192.0.2.{}:443", 1 + i % 3);
+                let syn = record(
+                    at,
+                    Direction::Outbound,
+                    SegmentKind::Syn,
+                    host.clone(),
+                    server.clone(),
+                )
+                .with_mac(MacAddr::for_host(1, (i % 4) as u32))
+                .with_fp(browser);
+                agent.filter_record(&syn);
+                agent.observe_record(&record(
+                    at + 900,
+                    Direction::Inbound,
+                    SegmentKind::SynAck,
+                    server,
+                    host,
+                ));
+            }
+            if period >= 9 {
+                for i in 0..240u64 {
+                    let at = base + i * 80_000 + 13;
+                    let flood = record(
+                        at,
+                        Direction::Outbound,
+                        SegmentKind::Syn,
+                        format!("172.16.{}.9:6000", i % 40),
+                        "192.0.2.80:80".to_string(),
+                    )
+                    .with_mac(MacAddr::for_host(0xfffe, (i % 8) as u32))
+                    .with_fp(tool);
+                    agent.filter_record(&flood);
+                }
+            }
+            agent.close_periods_to(period + 1);
+        }
+        assert!(!agent.alarms().is_empty(), "the flood must alarm");
+        let engine = agent.mitigation().expect("mitigation armed");
+        assert!(engine.keys().contains(&ThrottleKey::Fingerprint(tool)));
+        agent.checkpoint()
+    }
+
+    #[test]
+    fn mid_attack_fingerprint_checkpoint_bytes_are_pinned() {
+        // The exact on-disk bytes of a fixed v4 checkpoint. Any change to
+        // the JSON codec, the envelope rendering or the checksum that
+        // alters what is written fails here.
+        let json = mid_attack_fingerprint_checkpoint().to_json();
+        assert!(json.starts_with(r#"{"magic":"syndog-checkpoint","version":4,"crc32":"#));
+        assert_eq!((json.len(), crc32(json.as_bytes())), (4372, 0x88A3_6B54));
+        // The directly rendered envelope is what serializing one writes.
+        let envelope: Envelope = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&envelope).unwrap(), json);
+        assert_eq!(Checkpoint::from_json(&json).unwrap().to_json(), json);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    probe),
 //! 5. when the rotation interval elapses, write a consistent-cut
 //!    checkpoint generation for all stubs (atomic, CRC-checked,
-//!    retention-bounded),
+//!    retention-bounded); a failed write is counted and its error kept
+//!    for the status plane, and the loop carries on,
 //! 6. publish a fresh [`StatusSnapshot`] to the status plane.
 //!
 //! Crash recovery is the same loop entered through
@@ -107,6 +108,10 @@ pub struct ServeDaemon {
     checkpoint_interval: u64,
     /// `(generation seq, period it was cut at)` of the last rotation.
     last_rotation: Option<(u64, u64)>,
+    /// Rotations that failed to write a full generation.
+    checkpoint_failures: u64,
+    /// The most recent rotation failure, rendered.
+    last_checkpoint_error: Option<String>,
     history_keep: usize,
     status: StatusBoard,
     resumed: bool,
@@ -251,6 +256,8 @@ impl ServeDaemon {
             rotation,
             checkpoint_interval: spec.checkpoint_interval,
             last_rotation: None,
+            checkpoint_failures: 0,
+            last_checkpoint_error: None,
             history_keep: spec.history_keep,
             status: StatusBoard::new(),
             resumed,
@@ -339,13 +346,19 @@ impl ServeDaemon {
             hosted.alarm_baseline = hosted.agent.alarms().len();
         }
         self.next_window = target;
-        // (5) Rotate a consistent-cut generation on the interval.
+        // (5) Rotate a consistent-cut generation on the interval. A
+        // failed write is counted and reported, never fatal: detection
+        // keeps running and the next interval tries again.
         if target.is_multiple_of(self.checkpoint_interval) {
             if let Some(rotation) = self.rotation.as_mut() {
                 let checkpoints: Vec<Checkpoint> =
                     self.stubs.iter().map(|h| h.agent.checkpoint()).collect();
-                if let Ok(seq) = rotation.rotate(&checkpoints) {
-                    self.last_rotation = Some((seq, target));
+                match rotation.rotate(&checkpoints) {
+                    Ok(seq) => self.last_rotation = Some((seq, target)),
+                    Err(err) => {
+                        self.checkpoint_failures += 1;
+                        self.last_checkpoint_error = Some(format!("period {target}: {err}"));
+                    }
                 }
             }
         }
@@ -390,6 +403,8 @@ impl ServeDaemon {
             period_secs: self.period.as_secs_f64(),
             checkpoint_seq,
             checkpoint_age_periods: checkpoint_age,
+            checkpoint_failures: self.checkpoint_failures,
+            last_checkpoint_error: self.last_checkpoint_error.clone(),
             config_reloads: self.watcher.as_ref().map_or(0, ConfigWatcher::reloads),
             config_errors: self
                 .watcher

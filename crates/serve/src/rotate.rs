@@ -95,16 +95,26 @@ impl CheckpointRotation {
         Ok(seq)
     }
 
-    /// Removes the oldest generations until at most `keep` remain.
+    /// Removes the oldest generations until at most `keep` remain, from
+    /// one scan of the directory.
     fn prune(&self) -> std::io::Result<()> {
-        let seqs = Self::scan(&self.dir)?;
-        for &seq in seqs.iter().take(seqs.len().saturating_sub(self.keep)) {
-            for entry in std::fs::read_dir(&self.dir)? {
-                let entry = entry?;
-                let name = entry.file_name().to_string_lossy().to_string();
-                if parse_name(&name).is_some_and(|(s, _)| s == seq) {
-                    std::fs::remove_file(entry.path())?;
-                }
+        let mut files = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if let Some((seq, _)) = parse_name(&entry.file_name().to_string_lossy()) {
+                files.push((seq, entry.path()));
+            }
+        }
+        let mut seqs: Vec<u64> = files.iter().map(|&(seq, _)| seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        if seqs.len() <= self.keep {
+            return Ok(());
+        }
+        let oldest_kept = seqs[seqs.len() - self.keep];
+        for (seq, path) in files {
+            if seq < oldest_kept {
+                std::fs::remove_file(path)?;
             }
         }
         Ok(())

@@ -62,6 +62,10 @@ pub struct StatusSnapshot {
     pub checkpoint_seq: Option<u64>,
     /// Periods since the newest generation was written (its age).
     pub checkpoint_age_periods: Option<u64>,
+    /// Rotations that failed to write a full generation.
+    pub checkpoint_failures: u64,
+    /// The most recent rotation failure, if any.
+    pub last_checkpoint_error: Option<String>,
     /// Successful config hot-reloads applied.
     pub config_reloads: u64,
     /// Malformed config edits rejected.
@@ -94,6 +98,12 @@ impl StatusSnapshot {
                 out.push_str(&format!("checkpoint: seq={seq} age={age} periods\n"));
             }
             _ => out.push_str("checkpoint: disabled\n"),
+        }
+        if let Some(err) = &self.last_checkpoint_error {
+            out.push_str(&format!(
+                "checkpoint failures: {} (last: {err})\n",
+                self.checkpoint_failures
+            ));
         }
         for stub in &self.stubs {
             out.push_str(&format!(
@@ -171,6 +181,8 @@ mod tests {
             period_secs: 20.0,
             checkpoint_seq: Some(3),
             checkpoint_age_periods: Some(2),
+            checkpoint_failures: 1,
+            last_checkpoint_error: Some("period 45: disk full".to_string()),
             config_reloads: 1,
             config_errors: 0,
             resumed: true,
@@ -200,6 +212,7 @@ mod tests {
             "missed=0",
             "resumed",
             "checkpoint: seq=3 age=2",
+            "checkpoint failures: 1 (last: period 45: disk full)",
             "stub 128.1.0.0/16",
             "y_n=1.2345/1.05",
             "alarm=RAISED",
@@ -219,6 +232,8 @@ mod tests {
             "\"alarms_total\":2",
             "\"missed_periods\":0",
             "\"resumed\":true",
+            "\"checkpoint_failures\":1",
+            "\"last_checkpoint_error\":\"period 45: disk full\"",
             "\"throttle_keys\":[\"mac:02:ff:ff:00:de:ad\"]",
         ] {
             assert!(json.contains(needle), "missing `{needle}` in:\n{json}");

@@ -76,9 +76,18 @@ impl RecordSupply for PlanSupply {
 }
 
 /// [`RecordSupply`] replaying an owned [`Trace`] in an endless loop.
+///
+/// The trace is time-sorted once on construction, so each window costs
+/// two binary searches per overlapping pass plus a copy of the records
+/// it returns, not a scan of the whole capture.
 #[derive(Debug, Clone)]
 pub struct LoopingTraceSupply {
     trace: Trace,
+}
+
+/// A record's offset from the start of its pass, in microseconds.
+fn pass_offset(record: &TraceRecord) -> u64 {
+    (record.time - SimTime::ZERO).as_micros()
 }
 
 impl LoopingTraceSupply {
@@ -88,7 +97,7 @@ impl LoopingTraceSupply {
     ///
     /// Panics if the trace's nominal duration is zero (the loop could
     /// never advance sim-time) or it holds no records.
-    pub fn new(trace: Trace) -> Self {
+    pub fn new(mut trace: Trace) -> Self {
         assert!(
             trace.duration() > SimDuration::ZERO,
             "looping a zero-duration trace would freeze sim-time"
@@ -97,6 +106,12 @@ impl LoopingTraceSupply {
             !trace.records().is_empty(),
             "looping an empty trace supplies nothing forever"
         );
+        // Stable, so records with equal times keep their capture order.
+        // Checked first: captures usually arrive sorted, and the sort
+        // would allocate a scratch copy of the whole trace regardless.
+        if !trace.records().is_sorted_by_key(|r| r.time) {
+            trace.sort();
+        }
         LoopingTraceSupply { trace }
     }
 }
@@ -106,27 +121,27 @@ impl RecordSupply for LoopingTraceSupply {
         let start = (window * index).as_micros();
         let end = start + window.as_micros();
         let pass_len = self.trace.duration().as_micros();
+        let records = self.trace.records();
         let mut out = Vec::new();
-        // The window may straddle a loop boundary: gather from every
-        // pass that overlaps it. Stragglers recorded past the trace's
-        // nominal duration are dropped — they would double-book time
-        // that belongs to the next pass.
+        // The window may straddle a loop boundary: take the slice of
+        // every pass that overlaps it. Passes follow each other in time,
+        // so concatenating their slices keeps the output sorted.
+        // Stragglers recorded past the trace's nominal duration are
+        // dropped — clamping to `pass_len` keeps them out, since they
+        // would double-book time that belongs to the next pass.
         for pass in start / pass_len..=(end - 1) / pass_len {
             let offset = pass_len * pass;
-            for record in self.trace.records() {
-                let at = (record.time - SimTime::ZERO).as_micros();
-                if at >= pass_len {
-                    continue;
-                }
-                let shifted = offset + at;
-                if shifted >= start && shifted < end {
-                    let mut record = *record;
-                    record.time = SimTime::ZERO + SimDuration::from_micros(shifted);
-                    out.push(record);
-                }
-            }
+            let from = start.saturating_sub(offset);
+            let to = (end - offset).min(pass_len);
+            let lo = records.partition_point(|r| pass_offset(r) < from);
+            let hi = records.partition_point(|r| pass_offset(r) < to);
+            out.extend(records[lo..hi].iter().map(|record| {
+                let mut record = *record;
+                record.time =
+                    SimTime::ZERO + SimDuration::from_micros(offset + pass_offset(&record));
+                record
+            }));
         }
-        out.sort_by_key(|r| r.time);
         out
     }
 
@@ -268,6 +283,76 @@ mod tests {
             .map(|r| r.time.as_secs_f64())
             .collect();
         assert_eq!(again, w1);
+    }
+
+    /// The full-scan window the sliced [`LoopingTraceSupply`] replaced,
+    /// kept as its oracle: every record of every overlapping pass is
+    /// tested against the window, then the result is sorted.
+    fn full_scan_window(trace: &Trace, index: u64, window: SimDuration) -> Vec<TraceRecord> {
+        let start = (window * index).as_micros();
+        let end = start + window.as_micros();
+        let pass_len = trace.duration().as_micros();
+        let mut out = Vec::new();
+        for pass in start / pass_len..=(end - 1) / pass_len {
+            let offset = pass_len * pass;
+            for record in trace.records() {
+                let at = (record.time - SimTime::ZERO).as_micros();
+                if at >= pass_len {
+                    continue;
+                }
+                let shifted = offset + at;
+                if shifted >= start && shifted < end {
+                    let mut record = *record;
+                    record.time = SimTime::ZERO + SimDuration::from_micros(shifted);
+                    out.push(record);
+                }
+            }
+        }
+        out.sort_by_key(|r| r.time);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn sliced_windows_equal_the_full_scan_oracle(
+            // (time µs, source port): times cluster on a coarse grid so
+            // ties are common; some land past the pass as stragglers.
+            raw in proptest::collection::vec((0u64..40, 0u64..1_000, 0u16..4), 1..60),
+            pass_s in 1u64..30,
+            window_ms in 1u64..45_000,
+            index in 0u64..200,
+        ) {
+            let pass = SimDuration::from_secs(pass_s);
+            let grid = pass.as_micros() / 32;
+            let mut trace = Trace::new(pass);
+            for (slot, jitter, tag) in raw {
+                // Slots 33.. fall past the pass; odd jitter breaks some
+                // ties while most records stay on the grid.
+                let at = slot * grid + if jitter % 3 == 0 { jitter } else { 0 };
+                let mut record = TraceRecord::new(
+                    SimTime::from_micros(at),
+                    Direction::Outbound,
+                    SegmentKind::Syn,
+                    SocketAddrV4::new([10, 1, 0, 5].into(), 1024 + tag),
+                    "192.0.2.80:80".parse().unwrap(),
+                );
+                record.fp = jitter;
+                // Unsorted pushes: the supply must order them itself.
+                trace.push(record);
+            }
+            let window = SimDuration::from_micros(window_ms * 1_000);
+            let mut supply = LoopingTraceSupply::new(trace.clone());
+            // Near the pass boundary too, where windows straddle passes.
+            let straddle = (pass.as_micros() * (index % 7 + 1)) / window.as_micros();
+            for index in [index, straddle, straddle + 1] {
+                proptest::prop_assert_eq!(
+                    supply.next_window(index, window),
+                    full_scan_window(&trace, index, window),
+                    "window {} of {:?} over a {:?} pass", index, window, pass
+                );
+            }
+        }
     }
 
     #[test]

@@ -361,3 +361,56 @@ fn status_plane_serves_beside_the_prometheus_scrape() {
     assert!(metrics.contains("syndog_periods_total"), "{metrics}");
     std::fs::remove_dir_all(&ck_dir).ok();
 }
+
+#[test]
+fn rotation_failures_are_counted_while_the_daemon_keeps_stepping() {
+    let root = temp_dir("rotation-failure");
+    let ck_dir = root.join("ck");
+    let config_path = root.join("serve.conf");
+    let mut daemon = ServeDaemon::new(spec(&ck_dir, &config_path), stubs(11)).unwrap();
+    daemon.run_for(CHECKPOINT_INTERVAL);
+    let healthy = daemon.snapshot();
+    assert_eq!(healthy.checkpoint_seq, Some(0));
+    assert_eq!(healthy.checkpoint_failures, 0);
+    assert_eq!(healthy.last_checkpoint_error, None);
+
+    // Replace the rotation directory with a regular file: every write
+    // under it now fails, whatever the process's privileges.
+    std::fs::remove_dir_all(&ck_dir).unwrap();
+    std::fs::write(&ck_dir, b"not a directory").unwrap();
+    daemon.run_for(2 * CHECKPOINT_INTERVAL);
+    let failing = daemon.snapshot();
+    assert_eq!(
+        daemon.next_window(),
+        3 * CHECKPOINT_INTERVAL,
+        "kept stepping"
+    );
+    assert_eq!(failing.missed_periods(), 0);
+    assert_eq!(failing.checkpoint_failures, 2, "one per failed rotation");
+    let err = failing.last_checkpoint_error.as_deref().unwrap();
+    assert!(
+        err.starts_with(&format!("period {}: ", 3 * CHECKPOINT_INTERVAL)),
+        "{err}"
+    );
+    // The last good generation is still what the status plane reports,
+    // and it ages.
+    assert_eq!(failing.checkpoint_seq, Some(0));
+    assert_eq!(
+        failing.checkpoint_age_periods,
+        Some(2 * CHECKPOINT_INTERVAL)
+    );
+    let json = failing.render_json();
+    assert!(json.contains("\"checkpoint_failures\":2"), "{json}");
+    assert!(failing.render_text().contains("checkpoint failures: 2"));
+
+    // Once the directory is back, the next interval rotates again and
+    // the failure count stops rising.
+    std::fs::remove_file(&ck_dir).unwrap();
+    std::fs::create_dir(&ck_dir).unwrap();
+    daemon.run_for(CHECKPOINT_INTERVAL);
+    let recovered = daemon.snapshot();
+    assert_eq!(recovered.checkpoint_failures, 2);
+    assert_eq!(recovered.checkpoint_age_periods, Some(0));
+    assert_eq!(recovered.missed_periods(), 0);
+    std::fs::remove_dir_all(&root).ok();
+}
